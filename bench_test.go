@@ -16,7 +16,9 @@ package floatprint
 // pass/fail shape checks.
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -415,12 +417,77 @@ func BenchmarkParse_ExactReader(b *testing.B) {
 	}
 }
 
+// BenchmarkStrconvParseReference is strconv on the same full-corpus
+// strings as BenchmarkParse_FastPath, so the two compare like for like.
 func BenchmarkStrconvParseReference(b *testing.B) {
-	floats, _ := benchCorpus()
-	strs := make([]string, 512)
-	for i := range strs {
-		strs[i] = strconv.FormatFloat(floats[i*7%len(floats)], 'e', -1, 64)
+	strs := benchParseCorpus()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := strconv.ParseFloat(strs[i%len(strs)], 64); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// benchHalfwayGrid is the repository benchmark's exact_path size grid
+// for near-halfway parses: 20 to 2,000 significant digits, nine sizes
+// spaced evenly on a log scale.
+var benchHalfwayGrid = []int{20, 36, 63, 112, 200, 356, 632, 1125, 2000}
+
+var (
+	benchHalfwayOnce sync.Once
+	benchHalfwayStrs []string
+)
+
+// benchHalfwayCorpus returns 1,024 near-halfway decimal tokens, corpus
+// values walking the size grid in turn: each the midpoint after the
+// value cut to the grid size (just below it) or padded with zeros and a
+// final 1 (just above).  Every fast path declines them, so they measure
+// the exact reader.  Each token is checked against strconv once.
+func benchHalfwayCorpus() []string {
+	benchHalfwayOnce.Do(func() {
+		floats, _ := benchCorpus()
+		for i := 0; i < 1024; i++ {
+			v := floats[i*7%len(floats)]
+			if v < 0 {
+				v = -v
+			}
+			nd := benchHalfwayGrid[i%len(benchHalfwayGrid)]
+			digits, exp := halfwayDigits(v)
+			if len(digits) >= nd {
+				digits = digits[:nd]
+			} else {
+				digits += strings.Repeat("0", nd-len(digits)-1) + "1"
+			}
+			tok := "0." + digits + "e" + strconv.Itoa(exp)
+			want, werr := strconv.ParseFloat(tok, 64)
+			if got, err := Parse(tok, nil); err != nil || werr != nil || got != want {
+				panic(fmt.Sprintf("near-halfway token %q: Parse %g, %v; strconv %g, %v", tok, got, err, want, werr))
+			}
+			benchHalfwayStrs = append(benchHalfwayStrs, tok)
+		}
+	})
+	return benchHalfwayStrs
+}
+
+// BenchmarkParse_NearHalfway is the public Parse on tokens only the
+// exact reader can decide: the cost the bounded digit prefix cuts.
+func BenchmarkParse_NearHalfway(b *testing.B) {
+	strs := benchHalfwayCorpus()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(strs[i%len(strs)], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStrconvParse_NearHalfway is strconv on the same tokens.
+func BenchmarkStrconvParse_NearHalfway(b *testing.B) {
+	strs := benchHalfwayCorpus()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := strconv.ParseFloat(strs[i%len(strs)], 64); err != nil {

@@ -204,6 +204,20 @@ func FuzzParseVsStrconv(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	// Long near-halfway tokens: the exact reader decides them from its
+	// 768-digit prefix and sticky digit, past which every digit here
+	// still counts toward "a hair above" or "a hair below".
+	for _, c := range []struct {
+		v     float64
+		nd    int
+		above bool
+	}{
+		{1, 800, true}, {0.1, 2000, false}, {1e23, 769, true},
+		{2.2250738585072014e-308, 1500, false}, {math.SmallestNonzeroFloat64, 900, true},
+		{math.MaxFloat64 / 3, 1200, false},
+	} {
+		f.Add(nearHalfway(c.v, c.nd, c.above))
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		if !inCommonParseGrammar(s) {
 			t.Skip()

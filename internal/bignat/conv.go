@@ -65,6 +65,26 @@ func (n Nat) textPow2(shift uint) string {
 	return string(out)
 }
 
+// FromDigits returns the number whose base-b digit values (each below
+// base, most significant first) are digits.  It folds chunkFor(base)
+// digits into one word at a time and multiply-adds each word into a
+// single Nat sized up front from len(digits)·⌈log2 base⌉ bits, with one
+// spare limb so that a following MulAddWordInPlace by base (one more
+// digit) does not regrow it: one allocation in all.
+func FromDigits(digits []byte, base int) Nat {
+	chunkDigits, _ := chunkFor(base)
+	n := make(Nat, 0, len(digits)*bits.Len(uint(base-1))/wordBits+2)
+	for start := 0; start < len(digits); start += chunkDigits {
+		var chunk, scale Word = 0, 1
+		for _, d := range digits[start:min(start+chunkDigits, len(digits))] {
+			chunk = chunk*Word(base) + Word(d)
+			scale *= Word(base)
+		}
+		n = MulAddWordInPlace(n, scale, chunk)
+	}
+	return n
+}
+
 // chunkFor returns the largest k and base**k such that base**k fits in a
 // Word, for chunked radix conversion.
 func chunkFor(base int) (digits int, value Word) {

@@ -28,6 +28,16 @@ func MulWordInPlace(x Nat, w Word) Nat {
 	return x
 }
 
+// MulAddWordInPlace computes x*w + a in place (w >= 1) and returns the
+// result, which reuses x's storage unless the carry needs a new limb the
+// capacity cannot hold.
+func MulAddWordInPlace(x Nat, w, a Word) Nat {
+	if carry := mulAddVWW(x, x, w, a); carry != 0 {
+		x = append(x, carry)
+	}
+	return x
+}
+
 // AddWordInPlace adds w to x in place.
 func AddWordInPlace(x Nat, w Word) Nat {
 	carry := w

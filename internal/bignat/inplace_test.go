@@ -1,6 +1,7 @@
 package bignat
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -179,5 +180,54 @@ func BenchmarkDivModSmallQuotientInPlace(b *testing.B) {
 		buf = buf[:len(x)]
 		copy(buf, x)
 		DivModSmallQuotientInPlace(buf, y)
+	}
+}
+
+func TestMulAddWordInPlace(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for i := 0; i < 2000; i++ {
+		x := randNat(r, r.Intn(5))
+		w, a := Word(r.Uint64())|1, Word(r.Uint64())
+		if r.Intn(4) == 0 {
+			a = 0
+		}
+		want := MulAddWord(x, w, a)
+		got := MulAddWordInPlace(x.Clone(), w, a)
+		if Cmp(got, want) != 0 || (len(got) > 0 && got[len(got)-1] == 0) {
+			t.Fatalf("MulAddWordInPlace(%v, %d, %d) = %v, want %v", toBig(x), w, a, toBig(got), toBig(want))
+		}
+	}
+	if got := MulAddWordInPlace(nil, 10, 0); len(got) != 0 {
+		t.Errorf("0·10 + 0 = %v, want the empty zero", got)
+	}
+}
+
+// TestFromDigitsOracle checks the chunked accumulation against math/big
+// in every base, at lengths around the chunk size, and that its one
+// allocation leaves room for one more digit.
+func TestFromDigitsOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for base := 2; base <= 36; base++ {
+		chunk, _ := chunkFor(base)
+		for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 2, 500} {
+			digits := make([]byte, n)
+			want := new(big.Int)
+			for i := range digits {
+				digits[i] = byte(r.Intn(base))
+				if i == 0 && r.Intn(3) == 0 {
+					digits[i] = 0 // a leading zero changes nothing
+				}
+				want.Mul(want, big.NewInt(int64(base))).Add(want, big.NewInt(int64(digits[i])))
+			}
+			got := FromDigits(digits, base)
+			if toBig(got).Cmp(want) != 0 || (len(got) > 0 && got[len(got)-1] == 0) {
+				t.Fatalf("FromDigits(%d digits, base %d) = %v, want %v", n, base, toBig(got), want)
+			}
+			before := &got[:cap(got)][0]
+			got = MulAddWordInPlace(got, Word(base), Word(base-1))
+			if len(got) > 0 && &got[0] != before {
+				t.Fatalf("base %d, %d digits: one more digit regrew the result", base, n)
+			}
+		}
 	}
 }

@@ -71,6 +71,7 @@ func ParseText(s string, base int) (Number, error) {
 	}
 
 	// Mantissa: digits with at most one point; count integer digits.
+	n.Digits = make([]byte, 0, len(s))
 	intDigits := -1
 	sawDigit := false
 	marksStarted := false

@@ -13,18 +13,28 @@
 // base 10 with ties-to-even).
 //
 // The implementation uses exact big-integer arithmetic throughout — the
-// scaled comparison approach of Clinger's AlgorithmM — so results are
-// correctly rounded for all inputs, at the cost of speed on huge
-// exponents.  Exponents so large the value provably overflows (or so
-// small it provably rounds to zero) are decided by an O(1) magnitude
-// bound instead, so no input costs big-integer work beyond its own
-// digit count.
+// scaled comparison approach of Clinger's AlgorithmM, rounding on one
+// integer quotient as in Jaffer's "Easy Accurate Reading and Writing" —
+// so results are correctly rounded for all inputs.  The work is bounded
+// by the format, not by the input: in an even base, only the first
+// N(base, f) significant digits plus one sticky digit can decide how a
+// number rounds to a binary format (prefixDigits proves the bound; 768
+// for base 10 to binary64, fast_float's figure), so longer inputs are
+// cut there after every digit has been validated, and a 400,000-digit
+// token costs one linear scan plus the same bounded big-integer work as
+// an 800-digit one.  Odd bases and non-binary formats keep every digit.
+// Digits are folded into words a chunk at a time into one presized
+// integer, and powers of the base come from a capped per-base cache (a
+// shift for power-of-two bases).  Exponents so large the value provably
+// overflows (or so small it provably rounds to zero) are decided by an
+// O(1) magnitude bound instead.
 package reader
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"floatprint/internal/bignat"
 	"floatprint/internal/fpformat"
@@ -142,19 +152,41 @@ func Convert(n Number, f *fpformat.Format, mode RoundMode) (fpformat.Value, erro
 	if n.Base < 2 || n.Base > 36 {
 		return fpformat.Value{}, fmt.Errorf("reader: base %d out of range [2,36]", n.Base)
 	}
-	// Accumulate the digits into one integer D, so the value is
-	// D × Base^(K−len).
-	d := bignat.Nat(nil)
-	for _, dig := range n.Digits {
+	// Validate every digit, in order, so the first bad one names the
+	// error even when the prefix cut below drops it.
+	lead := -1
+	for i, dig := range n.Digits {
 		if int(dig) >= n.Base {
 			return fpformat.Value{}, fmt.Errorf("reader: digit %d out of range for base %d", dig, n.Base)
 		}
-		d = bignat.MulAddWord(d, bignat.Word(n.Base), bignat.Word(dig))
+		if lead < 0 && dig != 0 {
+			lead = i
+		}
 	}
-	if d.IsZero() {
+	if lead < 0 {
 		return fpformat.Value{Fmt: f, Class: fpformat.Zero, Neg: n.Neg}, nil
 	}
-	exp := n.K - len(n.Digits)
+	// The value is 0.digits × Base^(K−lead) with a nonzero leading digit.
+	// Past N(Base, f) digits only whether the tail is nonzero matters:
+	// it becomes one sticky digit 1 (see prefixDigits).  Accumulate the
+	// kept digits into one integer D, so the value is D × Base^exp.
+	digits := n.Digits[lead:]
+	sticky := false
+	if lim := prefixDigits(n.Base, f); lim > 0 && len(digits) > lim {
+		for _, dig := range digits[lim:] {
+			if dig != 0 {
+				sticky = true
+				break
+			}
+		}
+		digits = digits[:lim]
+	}
+	d := bignat.FromDigits(digits, n.Base)
+	exp := n.K - lead - len(digits)
+	if sticky {
+		d = bignat.MulAddWordInPlace(d, bignat.Word(n.Base), 1)
+		exp--
+	}
 
 	// Magnitude pre-check: the value is d × Base^exp, and d.BitLen()
 	// pins log2(d) within one bit, so log2(value) is known to ±1 here
@@ -187,18 +219,142 @@ func Convert(n Number, f *fpformat.Format, mode RoundMode) (fpformat.Value, erro
 	// Exact rational x = num/den.
 	num, den := d, bignat.Nat{1}
 	if exp >= 0 {
-		num = bignat.Mul(num, bignat.PowUint(uint64(n.Base), uint(exp)))
+		num = mulPow(num, n.Base, exp)
 	} else {
-		den = bignat.PowUint(uint64(n.Base), uint(-exp))
+		den = pow(n.Base, -exp)
 	}
 	return roundRational(num, den, n.Neg, f, mode)
+}
+
+// prefixDigits returns N(B, f) for B = base: how many significant base-B
+// digits, counted from the leading nonzero one, can decide how a number
+// rounds to the binary format f under any mode.  It returns 0, meaning
+// "keep every digit", for odd B (whose expansions of f's boundaries do
+// not terminate) and for formats whose own base is not 2.
+//
+// Proof.  A *boundary* is a value where some mode's answer changes: the
+// representable values m·2^e (directed modes) and the midpoints
+// (2m+1)·2^(e−1) between neighbours (nearest modes), e ≥ MinExp.  The
+// largest is T = (2^(p+1)−1)·2^(MaxExp−1), the overflow midpoint; every
+// value above T overflows alike in every mode.  Each boundary is
+// b = M·2^E with M odd, M < 2^(p+1) and MinExp−1 ≤ E ≤ MaxExp+p−1.  All
+// five modes — value, saturation and ErrRange alike — are constant on
+// each open interval between neighbouring boundaries and on (T, ∞).
+//
+// Let B^(L−1) ≤ x < B^L, let x_N be x cut to N digits, so that
+// x_N ≤ x < x_N + g with g = B^(L−N), and let x' = x_N if the cut
+// digits are all zero, else x_N + B^(L−N−1) (the sticky digit 1).  If
+// x' ≠ x, both lie in the open interval (x_N, x_N + g), whose ends are
+// multiples of g within [B^(L−1), B^L].  So if every boundary in
+// (B^(L−1), B^L) is a multiple of g, no boundary separates x from x',
+// neither is exact, and they round identically in every mode; if x' = x
+// there is nothing to show.
+//
+// Write B = 2^v·B' with B' odd and v ≥ 1.  b = M·2^E is a multiple of
+// g = B^(L−N) when E + v·(N−L) ≥ 0 and, if B' > 1, also N ≥ L (for
+// N < L the odd part B'^(L−N) would have to divide M).  A boundary in
+// (B^(L−1), B^L) has B^(L−1) < b < 2^(p+1+E), so
+// L ≤ L*(E) = ⌈(p+1+E)/log2 B⌉.  Hence it suffices that
+//
+//	N ≥ L*(E) + c(E) for every E,  c(E) = ⌈−E/v⌉, clamped at 0 if B' > 1.
+//
+// For B' = 1 the sum is periodic in E with period v.  For B' > 1 and
+// E < 0 it lies in [h(E), h(E)+2) with h(E) = (p+1+E)/log2 B − E/v,
+// which falls by 1/v − 1/log2 B per step of E, so the maximum lies
+// within 2/(1/v − 1/log2 B) steps of E = MinExp−1; for E ≥ 0 it is
+// L*(E), largest at the top E.  Binary64, base 10: E = −1075 gives
+// L* = ⌈−1021/log2 10⌉ = −307 and c = 1075, so N = 768 — fast_float's
+// bound.  Binary32: 113.  Base 2: p+1.
+func prefixDigits(base int, f *fpformat.Format) int {
+	if base%2 != 0 || f.Base != 2 {
+		return 0
+	}
+	v := bits.TrailingZeros(uint(base))
+	pow2 := base == 1<<v
+	log2B := math.Log2(float64(base))
+	// lead is L*(E).  For B' > 1, s/log2 B is irrational unless s == 0,
+	// and float64 division puts it on the right side of every integer
+	// over the formats' exponent ranges (pinned against exact integer
+	// arithmetic in the tests).
+	lead := func(e int) int {
+		s := f.Precision + 1 + e
+		if pow2 {
+			return ceilDiv(s, v)
+		}
+		return int(math.Ceil(float64(s) / log2B))
+	}
+	e0, eMax := f.MinExp-1, f.MaxExp+f.Precision-1
+	window := v
+	if !pow2 {
+		window = int(2/(1/float64(v)-1/log2B)) + 1
+	}
+	n := 0
+	for e := e0; e < e0+window && e <= eMax; e++ {
+		c := ceilDiv(-e, v)
+		if !pow2 && c < 0 {
+			c = 0
+		}
+		n = max(n, lead(e)+c)
+	}
+	if !pow2 {
+		n = max(n, lead(eMax))
+	}
+	return n
+}
+
+// ceilDiv returns ⌈a/b⌉ for b > 0.
+func ceilDiv(a, b int) int {
+	q := a / b
+	if a%b > 0 {
+		q++
+	}
+	return q
+}
+
+// pows caches the powers of each base up to powCap[base], the largest
+// exponent a binary64 conversion cut to N digits can produce: N+1 digits
+// of scale plus the magnitude pre-check's span of binary64 exponents.
+// Larger exponents (wider formats, long odd-base inputs) compute their
+// power directly, so the cache's memory stays bounded by binary64.
+var (
+	pows   [37]*bignat.PowCache
+	powCap [37]int
+)
+
+func init() {
+	for b := 2; b <= 36; b++ {
+		pows[b] = bignat.NewPowCache(uint64(b))
+		powCap[b] = prefixDigits(b, fpformat.Binary64) + 1 +
+			int(math.Ceil(float64(17-fpformat.Binary64.MinExp)/math.Log2(float64(b))))
+	}
+}
+
+// pow returns base^k for 2 <= base <= 36 and k >= 0: a shift for
+// power-of-two bases, the shared cached power (read-only) within the cap.
+func pow(base, k int) bignat.Nat {
+	if base&(base-1) == 0 {
+		return bignat.Shl(bignat.Nat{1}, uint(k*bits.TrailingZeros(uint(base))))
+	}
+	if k <= powCap[base] {
+		return pows[base].Pow(uint(k))
+	}
+	return bignat.PowUint(uint64(base), uint(k))
+}
+
+// mulPow returns x·base^k, shifting instead of multiplying for
+// power-of-two bases.
+func mulPow(x bignat.Nat, base, k int) bignat.Nat {
+	if base&(base-1) == 0 {
+		return bignat.Shl(x, uint(k*bits.TrailingZeros(uint(base))))
+	}
+	return bignat.Mul(x, pow(base, k))
 }
 
 // roundRational returns the value of format f that num/den (> 0) rounds
 // to under mode; neg carries the sign, which the directed modes need to
 // orient their magnitude rounding.
 func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode RoundMode) (fpformat.Value, error) {
-	b := uint64(f.Base)
+	b := f.Base
 	// Estimate e with floor(log_b(x)) − (p−1) from the bit lengths, then
 	// correct by iteration; the estimate is within a couple of units.
 	logBx := float64(num.BitLen()-den.BitLen()) * math.Ln2 / math.Log(float64(f.Base))
@@ -207,8 +363,8 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		e = f.MinExp
 	}
 
-	lo := bignat.PowUint(b, uint(f.Precision-1))
-	hi := bignat.PowUint(b, uint(f.Precision))
+	lo := pow(b, f.Precision-1)
+	hi := pow(b, f.Precision)
 	for {
 		// q = floor(x / bᵉ), computed exactly.  The binade — and therefore
 		// the rounding grain — is chosen from the floor, NOT the rounded
@@ -216,9 +372,9 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		// binade below even if rounding would carry it up.
 		sNum, sDen := num, den
 		if e > 0 {
-			sDen = bignat.Mul(sDen, bignat.PowUint(b, uint(e)))
+			sDen = mulPow(sDen, b, e)
 		} else if e < 0 {
-			sNum = bignat.Mul(sNum, bignat.PowUint(b, uint(-e)))
+			sNum = mulPow(sNum, b, -e)
 		}
 		q, rem := bignat.DivMod(sNum, sDen)
 		if bignat.Cmp(q, hi) >= 0 {
@@ -239,7 +395,7 @@ func roundRational(num, den bignat.Nat, neg bool, f *fpformat.Format, mode Round
 		if bignat.Cmp(m, hi) >= 0 {
 			// Rounding carried into the next binade: the value is exactly
 			// bᵖ·bᵉ = b^(p−1)·b^(e+1).
-			m = lo
+			m = lo.Clone()
 			e++
 		}
 		if m.IsZero() {

@@ -70,13 +70,11 @@ func ParseTraced(s string, opts *Options, tr *Trace) (float64, error) {
 // parse64 is the common Parse/ParseTraced core under already-normalized
 // options.
 func parse64(s string, o Options, tr *Trace) (float64, error) {
-	if f, ok := parseSpecial(s, o.Base); ok {
-		traceSpecial(tr, o.Base)
-		return f, nil
-	}
 	// Certified fast paths, one per reader family; BackendExact pins the
 	// exact reader (the documented forced-off knob for differential tests).
-	fastMiss := false
+	// Both decline the special names, which are checked only after them,
+	// so the numbers that make up nearly every input never pay for it.
+	var miss *stats.Counter
 	if o.Base == 10 && o.Backend != BackendExact {
 		switch mode := o.Reader.reader(); mode {
 		case reader.NearestEven:
@@ -85,8 +83,7 @@ func parse64(s string, o Options, tr *Trace) (float64, error) {
 				traceFastParse(tr, o, nd)
 				return f, nil
 			}
-			stats.ParseFastMisses.Inc()
-			fastMiss = true
+			miss = &stats.ParseFastMisses
 		case reader.TowardNegInf, reader.TowardPosInf:
 			// The directed variant certifies error identity too: any input
 			// the exact reader would pair with ErrRange (saturated overflow
@@ -96,9 +93,17 @@ func parse64(s string, o Options, tr *Trace) (float64, error) {
 				traceFastParse(tr, o, nd)
 				return f, nil
 			}
-			stats.DirectedFastMisses.Inc()
-			fastMiss = true
+			miss = &stats.DirectedFastMisses
 		}
+	}
+	if f, ok := parseSpecial(s, o.Base); ok {
+		traceSpecial(tr, o.Base)
+		return f, nil
+	}
+	// A special name does not count as a fast-path miss.
+	fastMiss := miss != nil
+	if fastMiss {
+		miss.Inc()
 	}
 	n, err := reader.ParseText(s, o.Base)
 	if err != nil {
@@ -133,13 +138,12 @@ func Parse32(s string, opts *Options) (float32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f, ok := parseSpecial(s, o.Base); ok {
-		return float32(f), nil
-	}
 	// Only the nearest fast path exists at single precision; the directed
 	// modes go straight to the exact reader (the 64-bit directed kernel's
-	// certificate does not transfer across the narrowing).
-	if o.Base == 10 && o.Backend != BackendExact && o.Reader.reader() == reader.NearestEven {
+	// certificate does not transfer across the narrowing).  As in parse64,
+	// special names are checked once the fast path has declined.
+	fastTried := o.Base == 10 && o.Backend != BackendExact && o.Reader.reader() == reader.NearestEven
+	if fastTried {
 		if f, nd, ok := fastparse.Parse32(s); ok {
 			stats.ParseFastHits.Inc()
 			if stats.Enabled() {
@@ -147,6 +151,11 @@ func Parse32(s string, opts *Options) (float32, error) {
 			}
 			return f, nil
 		}
+	}
+	if f, ok := parseSpecial(s, o.Base); ok {
+		return float32(f), nil
+	}
+	if fastTried {
 		stats.ParseFastMisses.Inc()
 	}
 	n, err := reader.ParseText(s, o.Base)
@@ -230,27 +239,35 @@ func parseDigits(d Digits) (float64, error) {
 // be a digit string in the requested base.  From base 24 up, every letter
 // of "inf" and "nan" is a valid digit (i=18, n=23, f=15), and from base
 // 35 up so is all of "infinity" (t=29, y=34); there the positional parse
-// must win, exactly as the reader grammar defines it.
+// must win, exactly as the reader grammar defines it.  Anything not
+// starting (after the sign) with i or n is rejected on that first byte,
+// and the names are matched case-insensitively without building a
+// lowered copy.
 func parseSpecial(s string, base int) (float64, bool) {
 	t := s
 	neg := false
-	switch {
-	case strings.HasPrefix(t, "+"):
-		t = t[1:]
-	case strings.HasPrefix(t, "-"):
-		neg = true
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		neg = t[0] == '-'
 		t = t[1:]
 	}
-	lower := strings.ToLower(t)
-	switch lower {
-	case "nan", "inf", "infinity":
+	if t == "" || (t[0]|0x20 != 'i' && t[0]|0x20 != 'n') {
+		return 0, false
+	}
+	var name string
+	switch {
+	case strings.EqualFold(t, "nan"):
+		name = "nan"
+	case strings.EqualFold(t, "inf"):
+		name = "inf"
+	case strings.EqualFold(t, "infinity"):
+		name = "infinity"
 	default:
 		return 0, false
 	}
-	if digitsInBase(lower, base) {
+	if digitsInBase(name, base) {
 		return 0, false
 	}
-	if lower == "nan" {
+	if name == "nan" {
 		return math.NaN(), true
 	}
 	return infFor(neg), true

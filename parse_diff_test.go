@@ -8,6 +8,7 @@ package floatprint
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"floatprint/internal/fastparse"
@@ -163,6 +164,80 @@ func TestParseSpecialsBaseAware(t *testing.T) {
 	}
 	if got, err := Parse32("inf", &Options{Base: 36}); err != nil || got != float32(digitVal("inf", 36)) {
 		t.Fatalf("Parse32(\"inf\", base=36) = %g, %v; want the numeral", got, err)
+	}
+}
+
+// TestParseSpecialsEveryBase pins the special names now that they are
+// checked after the fast paths: "inf", "nan" and "infinity", in lower,
+// upper and mixed case, unsigned and with either sign, under every reader
+// mode and both widths, in every base 2–36.  A name is special exactly
+// while one of its letters is not a digit of the base — "inf" and "nan"
+// read as numerals from base 24, "infinity" from base 35 — and then reads
+// as the numeral it spells, in any case.
+func TestParseSpecialsEveryBase(t *testing.T) {
+	numeral := func(name string, base int) (float64, bool) {
+		v := 0.0
+		for i := 0; i < len(name); i++ {
+			d := int(name[i]-'a') + 10
+			if d >= base {
+				return 0, false
+			}
+			v = v*float64(base) + float64(d)
+		}
+		return v, true
+	}
+	modes := []ReaderRounding{ReaderNearestEven, ReaderUnknown, ReaderNearestAway,
+		ReaderNearestTowardZero, ReaderTowardNegInf, ReaderTowardPosInf}
+	for base := 2; base <= 36; base++ {
+		for _, name := range []string{"inf", "nan", "infinity"} {
+			num, isNumeral := numeral(name, base)
+			if wantNumeral := (name != "infinity" && base >= 24) || base >= 35; isNumeral != wantNumeral {
+				t.Fatalf("%q in base %d: numeral=%v, want %v", name, base, isNumeral, wantNumeral)
+			}
+			for _, spelled := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:len(name)-1] + strings.ToUpper(name[len(name)-1:])} {
+				for _, sign := range []string{"", "+", "-"} {
+					in := sign + spelled
+					for _, mode := range modes {
+						opts := &Options{Base: base, Reader: mode}
+						got, err := Parse(in, opts)
+						got32, err32 := Parse32(in, opts)
+						if err != nil || err32 != nil {
+							t.Fatalf("Parse/Parse32(%q, base %d, %v): %v / %v", in, base, mode, err, err32)
+						}
+						want := num
+						switch {
+						case isNumeral && sign == "-":
+							want = -num
+						case isNumeral:
+						case name == "nan":
+							want = math.NaN()
+						case sign == "-":
+							want = math.Inf(-1)
+						default:
+							want = math.Inf(1)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+							t.Fatalf("Parse(%q, base %d, %v) = %g, want %g", in, base, mode, got, want)
+						}
+						// A numeral need not fit float32; off nearest-even its
+						// rounding is checked against the lower-case spelling.
+						w32 := float32(want)
+						if isNumeral && mode != ReaderNearestEven {
+							w32, _ = Parse32(sign+name, opts)
+						}
+						if math.Float32bits(got32) != math.Float32bits(w32) && !(math.IsNaN(float64(got32)) && math.IsNaN(float64(w32))) {
+							t.Fatalf("Parse32(%q, base %d, %v) = %g, want %g", in, base, mode, got32, w32)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Words that only start like a name are not special anywhere.
+	for _, in := range []string{"in", "infinit", "nana", "-i", "+", "", "infinityy", "nan0", "INFx"} {
+		if got, err := Parse(in, nil); err == nil {
+			t.Errorf("Parse(%q) = %g, want a syntax error", in, got)
+		}
 	}
 }
 
